@@ -20,7 +20,8 @@
 // With -metrics, one JSON snapshot spanning the whole run — the simulated
 // world's route-server and fabric counters (when -simulate) plus the
 // analysis pipeline counters and stage timers — is written at the end
-// ("-" for stderr).
+// ("-" for stderr). The federated path merges snapshots that carry no
+// metrics, so -metrics with -ixps > 1 exits 2.
 package main
 
 import (
@@ -64,6 +65,11 @@ func main() {
 		usageFail(err)
 	}
 	if err := cliutil.CheckIXPs(*ixps); err != nil {
+		usageFail(err)
+	}
+	// The federated path merges per-exchange snapshots that carry no
+	// metrics registry, so a metrics snapshot would come out empty.
+	if err := cliutil.CheckExchangeFlags(*ixps, cliutil.ExchangeFlag{Name: "metrics", Set: *metricsOut != ""}); err != nil {
 		usageFail(err)
 	}
 	var knownIDs []string

@@ -25,8 +25,7 @@
 // mitigation peer, and withdraws it after -detect-cooldown of quiet.
 // The closed-loop detections (with per-attack announce and first-drop
 // stamps) are scored against the scenario's ground truth after the run
-// and exposed at /api/detections while it streams. Detection is
-// single-exchange only: -detect with -ixps > 1 is rejected.
+// and exposed at /api/detections while it streams.
 //
 // With -serve, a looking-glass HTTP server (internal/serve) exposes the
 // online analyzer's state as JSON while the run streams: /api/health,
@@ -34,15 +33,20 @@
 // /api/usecases, /api/victims, /api/history. Requests are served from a
 // TTL snapshot cache (-serve-max-age, per-request ?maxAge= override)
 // and a rolling history ring (-serve-history cadence, -serve-history-depth
-// entries) so queries never block ingest. Serving is single-exchange
-// only: -serve with -ixps > 1 is rejected.
+// entries) so queries never block ingest.
 //
-// With -ixps N (N > 1) the run federates across N exchanges: each has
-// its own route server, fabric, BGP sessions and IPFIX export, writes a
-// standalone dataset into OUT/ixp<i>, and accumulates its own online
-// analyzer. At the end the per-exchange snapshots cross the federation
-// TCP transport — impaired by -snapshot-chaos-profile when set — and
-// the merged federated report is printed.
+// With -ixps N (N > 1) the same run federates across N exchanges: each
+// has its own route server, fabric, BGP sessions and IPFIX export,
+// writes a standalone dataset into OUT/ixp<i>, and accumulates its own
+// online analyzer. The summary then has one line per exchange, and at
+// the end the per-exchange snapshots cross the federation TCP transport
+// — impaired by -snapshot-chaos-profile when set — and the merged
+// federated report is printed.
+//
+// Flags that would otherwise be ignored exit 2: -detect, -serve and
+// -snapshot-every watch a single exchange's analyzer and are rejected
+// with -ixps > 1; -snapshot-chaos-profile impairs the snapshot transport
+// between exchanges and is rejected without it.
 //
 // With -chaos-profile, a seeded fault-injection plan (internal/faultnet)
 // impairs the live transports — connection kills, handshake resets and
@@ -172,10 +176,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
 			os.Exit(2)
 		}
-		if *ixps > 1 {
-			fmt.Fprintf(os.Stderr, "rtbh-live: -detect supports a single exchange; drop -ixps or the -detect flag\n")
-			os.Exit(2)
-		}
 	}
 	if *serveAddr != "" {
 		if err := cliutil.CheckServeAddr(*serveAddr); err != nil {
@@ -190,10 +190,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
 			os.Exit(2)
 		}
-		if *ixps > 1 {
-			fmt.Fprintf(os.Stderr, "rtbh-live: -serve supports a single exchange; drop -ixps or the -serve flag\n")
-			os.Exit(2)
-		}
+	}
+	// The detector, the looking glass and periodic snapshots watch one
+	// exchange's analyzer; the snapshot transport exists only between
+	// federated exchanges.
+	if err := cliutil.CheckExchangeFlags(*ixps,
+		cliutil.ExchangeFlag{Name: "detect", Set: *detectOn},
+		cliutil.ExchangeFlag{Name: "serve", Set: *serveAddr != ""},
+		cliutil.ExchangeFlag{Name: "snapshot-every", Set: *snapEvery != 0},
+		cliutil.ExchangeFlag{Name: "snapshot-chaos-profile", Set: *snapChaos != "", Federated: true},
+	); err != nil {
+		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
+		os.Exit(2)
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -214,17 +222,32 @@ func main() {
 		}
 	}
 
+	// One driver for any exchange count: a federated run is the same
+	// live run over the per-exchange directories OUT/ixp<i>.
+	var (
+		lr  *rtbh.LiveRun
+		flr *rtbh.FederatedLiveRun
+	)
 	if *ixps > 1 {
-		runFederated(cfg, *out, reg, *ixps, *workers, *report, *chaosProfile, *chaosSeed, *snapChaos, *metricsOut)
-		return
+		cfg.IXPs = *ixps
+		flr, err = rtbh.NewFederatedLiveRun(cfg, *out, reg)
+		if flr != nil {
+			lr = flr.LiveRun
+		}
+	} else {
+		lr, err = rtbh.NewLiveRun(cfg, *out, reg)
 	}
-
-	lr, err := rtbh.NewLiveRun(cfg, *out, reg)
 	if err != nil {
 		fail(err)
 	}
 	if *chaosProfile != "" {
 		if err := lr.EnableChaos(*chaosSeed, *chaosProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	if *snapChaos != "" {
+		if err := flr.EnableSnapshotChaos(*chaosSeed, *snapChaos); err != nil {
 			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
 			os.Exit(2)
 		}
@@ -288,7 +311,15 @@ func main() {
 	}
 
 	start := time.Now()
-	sum, err := lr.Run(ctx)
+	var (
+		sum  *rtbh.SimulationSummary
+		fsum *rtbh.FederatedSummary
+	)
+	if flr != nil {
+		fsum, err = flr.Run(ctx)
+	} else {
+		sum, err = lr.Run(ctx)
+	}
 	if err != nil {
 		fail(err)
 	}
@@ -298,13 +329,26 @@ func main() {
 	if lr.Interrupted() {
 		verb = "interrupted; drained gracefully —"
 	}
-	fmt.Printf("live run %s in %v, dataset written to %s\n", verb, time.Since(start).Round(time.Millisecond), *out)
+	written := "dataset written to " + *out
+	if fsum != nil {
+		written = fmt.Sprintf("%d datasets written under %s", fsum.IXPs, *out)
+	}
+	fmt.Printf("live run %s in %v, %s\n", verb, time.Since(start).Round(time.Millisecond), written)
 	fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d\n",
 		cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate)
-	fmt.Printf("control plane: %d messages over BGP/TCP (%d announcements, %d withdrawals)\n",
-		sum.ControlMsgs, sum.Announcements, sum.Withdrawals)
-	fmt.Printf("data plane: %d flow records over IPFIX/UDP (%d packets offered, %d dropped)\n",
-		sum.FlowRecords, sum.PacketsIn, sum.PacketsDropped)
+	if fsum != nil {
+		fmt.Printf("federation: %d multi-homed members (%d announcements, %d withdrawals)\n",
+			len(fsum.MultiHomedMembers), fsum.Announcements, fsum.Withdrawals)
+		for i := 0; i < fsum.IXPs; i++ {
+			fmt.Printf("ixp%d: %d control messages, %d flow records (%d packets offered, %d dropped)\n",
+				i, fsum.ControlMsgs[i], fsum.FlowRecords[i], fsum.PacketsIn[i], fsum.PacketsDropped[i])
+		}
+	} else {
+		fmt.Printf("control plane: %d messages over BGP/TCP (%d announcements, %d withdrawals)\n",
+			sum.ControlMsgs, sum.Announcements, sum.Withdrawals)
+		fmt.Printf("data plane: %d flow records over IPFIX/UDP (%d packets offered, %d dropped)\n",
+			sum.FlowRecords, sum.PacketsIn, sum.PacketsDropped)
+	}
 	if *chaosProfile != "" {
 		fmt.Printf("chaos: profile %s, seed %d — injected faults reconciled (faultnet.* in the metrics snapshot)\n",
 			*chaosProfile, *chaosSeed)
@@ -317,85 +361,27 @@ func main() {
 	}
 
 	if *report {
-		rep, err := lr.Analyzer().Final(opts)
-		if err != nil {
-			fail(err)
-		}
 		w := bufio.NewWriter(os.Stdout)
-		fmt.Fprintf(w, "\nonline analyzer final report (%d events):\n\n", len(rep.Events))
-		textreport.RenderAll(w, rep)
+		if flr != nil {
+			fr, err := flr.Report(opts)
+			if err != nil {
+				fail(err)
+			}
+			fmt.Fprintln(w)
+			textreport.RenderFederation(w, fr)
+		} else {
+			rep, err := lr.Analyzer().Final(opts)
+			if err != nil {
+				fail(err)
+			}
+			fmt.Fprintf(w, "\nonline analyzer final report (%d events):\n\n", len(rep.Events))
+			textreport.RenderAll(w, rep)
+		}
 		w.Flush()
 	}
 
 	if *metricsOut != "" {
 		if err := writeMetrics(reg, *metricsOut); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// runFederated is the -ixps > 1 path: one live exchange per IXP, a
-// standalone dataset per exchange under OUT/ixp<i>, and a federated
-// report merged over the snapshot transport. Periodic snapshots
-// (-snapshot-every) are not printed in federated mode.
-func runFederated(cfg rtbh.Config, out string, reg *rtbh.MetricsRegistry, ixps, workers int,
-	report bool, chaosProfile string, chaosSeed uint64, snapChaos, metricsOut string) {
-	cfg.IXPs = ixps
-	flr, err := rtbh.NewFederatedLiveRun(cfg, out, reg)
-	if err != nil {
-		fail(err)
-	}
-	if chaosProfile != "" {
-		if err := flr.EnableChaos(chaosSeed, chaosProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if snapChaos != "" {
-		if err := flr.EnableSnapshotChaos(chaosSeed, snapChaos); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	start := time.Now()
-	sum, err := flr.Run(ctx)
-	if err != nil {
-		fail(err)
-	}
-	stop()
-
-	verb := "completed"
-	if flr.Interrupted() {
-		verb = "interrupted; drained gracefully —"
-	}
-	fmt.Printf("federated live run %s in %v across %d exchanges, datasets written under %s\n",
-		verb, time.Since(start).Round(time.Millisecond), sum.IXPs, out)
-	fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d, multi-homed members: %d\n",
-		cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate, len(sum.MultiHomedMembers))
-	for i := 0; i < sum.IXPs; i++ {
-		fmt.Printf("ixp%d: %d control messages, %d flow records (%d packets offered, %d dropped)\n",
-			i, sum.ControlMsgs[i], sum.FlowRecords[i], sum.PacketsIn[i], sum.PacketsDropped[i])
-	}
-
-	if report {
-		opts := rtbh.DefaultOptions()
-		opts.Workers = workers
-		fr, err := flr.Report(opts)
-		if err != nil {
-			fail(err)
-		}
-		w := bufio.NewWriter(os.Stdout)
-		fmt.Fprintln(w)
-		textreport.RenderFederation(w, fr)
-		w.Flush()
-	}
-
-	if metricsOut != "" {
-		if err := writeMetrics(reg, metricsOut); err != nil {
 			fail(err)
 		}
 	}

@@ -2,14 +2,11 @@ package rtbh
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
 	"repro/internal/analysis/pipeline"
 	"repro/internal/federation"
-	"repro/internal/ipfix"
-	"repro/internal/mrt"
 	"repro/internal/scenario"
 )
 
@@ -43,85 +40,26 @@ type FederatedSummary struct {
 // cfg.IXPs <= 1 the single dataset written to dir/ixp0 is
 // byte-identical to what Simulate writes.
 func SimulateFederated(cfg Config, dir string) (*FederatedSummary, error) {
-	w, err := scenario.Plan(cfg)
+	res, err := simulate(cfg, federatedDirs(cfg, dir), nil)
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.IXPs
-	if n < 1 {
-		n = 1
-	}
+	return federatedSummary(res), nil
+}
 
-	type ixpFiles struct {
-		mrtFile, flowFile *os.File
-		mrtW              *mrt.Writer
-		flowW             *ipfix.Writer
+// federatedDirs lists the per-exchange dataset directories of a
+// federated run of cfg under dir.
+func federatedDirs(cfg Config, dir string) []string {
+	dirs := make([]string, max(cfg.IXPs, 1))
+	for i := range dirs {
+		dirs[i] = IXPDir(dir, i)
 	}
-	files := make([]*ixpFiles, n)
-	sinks := make([]scenario.Sinks, n)
-	defer func() {
-		for _, f := range files {
-			if f == nil {
-				continue
-			}
-			f.mrtFile.Close()
-			f.flowFile.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		sub := IXPDir(dir, i)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		f := &ixpFiles{}
-		if f.mrtFile, err = os.Create(filepath.Join(sub, FileUpdates)); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		files[i] = f
-		if f.flowFile, err = os.Create(filepath.Join(sub, FileFlows)); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		f.mrtW = mrt.NewWriter(f.mrtFile)
-		f.flowW = ipfix.NewWriter(f.flowFile, 1)
-		mrtW := f.mrtW
-		sinks[i] = scenario.Sinks{
-			Control: func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-				rec := mrt.Record{
-					Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-					PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
-				}
-				_ = mrtW.WriteRecord(&rec)
-			},
-			Flow: f.flowW.WriteBatch,
-		}
-	}
+	return dirs
+}
 
-	res, err := scenario.RunFederated(w, sinks)
-	if err != nil {
-		return nil, err
-	}
-	for i, f := range files {
-		if err := f.mrtW.Flush(); err != nil {
-			return nil, fmt.Errorf("rtbh: flushing MRT for IXP %d: %w", i, err)
-		}
-		if err := f.flowW.Flush(); err != nil {
-			return nil, fmt.Errorf("rtbh: flushing IPFIX for IXP %d: %w", i, err)
-		}
-		sub := IXPDir(dir, i)
-		if err := writeJSON(filepath.Join(sub, FileMetadata), metaOf(w)); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FilePDB), w.PDB.WriteJSON); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
-			return nil, err
-		}
-	}
-
+// federatedSummary reports a run per exchange.
+func federatedSummary(res *scenario.Result) *FederatedSummary {
+	w := res.World
 	sum := &FederatedSummary{
 		IXPs:              res.Federation.N,
 		MultiHomedMembers: res.Federation.MultiHomedMembers(),
@@ -130,14 +68,14 @@ func SimulateFederated(cfg Config, dir string) (*FederatedSummary, error) {
 		Members:           len(w.Members),
 		Announcements:     res.Announcements,
 		Withdrawals:       res.Withdrawals,
-		ControlMsgs:       res.ControlMsgs,
-		FlowRecords:       res.FlowRecords,
 	}
-	for _, st := range res.FabricStats {
-		sum.PacketsIn = append(sum.PacketsIn, st.PacketsIn)
-		sum.PacketsDropped = append(sum.PacketsDropped, st.PacketsDropped)
+	for _, x := range res.IXPs {
+		sum.ControlMsgs = append(sum.ControlMsgs, x.ControlMsgs)
+		sum.FlowRecords = append(sum.FlowRecords, x.FlowRecords)
+		sum.PacketsIn = append(sum.PacketsIn, x.FabricStats.PacketsIn)
+		sum.PacketsDropped = append(sum.PacketsDropped, x.FabricStats.PacketsDropped)
 	}
-	return sum, nil
+	return sum
 }
 
 // IXPReport is one exchange's view within a federated report.

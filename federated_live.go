@@ -2,33 +2,19 @@ package rtbh
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
-	"sync"
-	"time"
 
-	"repro/internal/bgp"
-	"repro/internal/fabric"
 	"repro/internal/faultnet"
 	"repro/internal/federation"
-	"repro/internal/ipfix"
-	"repro/internal/live"
-	"repro/internal/mrt"
-	"repro/internal/routeserver"
-	"repro/internal/scenario"
-	"repro/internal/stats"
 )
 
 // FederatedLiveRun is the live-mode counterpart of SimulateFederated:
-// the planned world runs across cfg.IXPs exchanges, each with its own
-// route server, fabric and live transports — every control update
-// crosses that exchange's BGP-over-TCP sessions, every sampled flow
-// record its IPFIX-over-UDP export — and each exchange accumulates its
-// streams in its own OnlineAnalyzer while writing a standalone dataset
-// into dir/ixp<i>.
+// a LiveRun across cfg.IXPs exchanges, each with its own route server,
+// fabric and live transports — every control update crosses that
+// exchange's BGP-over-TCP sessions, every sampled flow record its
+// IPFIX-over-UDP export — and its own OnlineAnalyzer, writing a
+// standalone dataset into dir/ixp<i>.
 //
 // After Run, Report reduces each analyzer to a federation snapshot and
 // ships it over the federation TCP transport to an in-process
@@ -36,78 +22,20 @@ import (
 // report is identical to AnalyzeFederated over the written archives
 // (see DESIGN.md, "Federation").
 type FederatedLiveRun struct {
-	cfg       Config
-	dir       string
-	reg       *MetricsRegistry
-	w         *scenario.World
-	fed       *scenario.Federation
-	analyzers []*OnlineAnalyzer
-	lms       []*live.Metrics
-	plans     []*faultnet.Plan
-	snapPlan  *faultnet.Plan
-
-	ran         bool
-	interrupted bool
+	*LiveRun
+	snapPlan *faultnet.Plan
 }
 
-// NewFederatedLiveRun plans the world described by cfg and its
-// federation, and prepares one online analyzer per exchange. Nothing is
-// written and no sockets open until Run. When reg is non-nil, exchange
-// 0 registers its transport, route-server, fabric and analyzer metrics
-// on it (one exchange only — the metric names are global).
+// NewFederatedLiveRun is NewLiveRun over the per-exchange directories
+// dir/ixp<i>. When reg is non-nil, exchange 0 registers its transport,
+// route-server, fabric and analyzer metrics on it (one exchange only —
+// the metric names are global).
 func NewFederatedLiveRun(cfg Config, dir string, reg *MetricsRegistry) (*FederatedLiveRun, error) {
-	w, err := scenario.Plan(cfg)
+	lr, err := newLiveRun(cfg, federatedDirs(cfg, dir), reg)
 	if err != nil {
 		return nil, err
 	}
-	fed := scenario.PlanFederation(w)
-	flr := &FederatedLiveRun{
-		cfg: cfg,
-		dir: dir,
-		reg: reg,
-		w:   w,
-		fed: fed,
-	}
-	meta := analysisMeta(w)
-	for i := 0; i < fed.N; i++ {
-		lm := live.NewMetrics()
-		a := NewOnlineAnalyzer(meta)
-		if reg != nil && i == 0 {
-			lm.Register(reg)
-			a.RegisterMetrics(reg)
-		}
-		flr.lms = append(flr.lms, lm)
-		flr.analyzers = append(flr.analyzers, a)
-	}
-	return flr, nil
-}
-
-// IXPs returns the number of exchanges in the federation.
-func (flr *FederatedLiveRun) IXPs() int { return flr.fed.N }
-
-// Analyzer returns exchange i's online analyzer.
-func (flr *FederatedLiveRun) Analyzer(i int) *OnlineAnalyzer { return flr.analyzers[i] }
-
-// EnableChaos arms per-exchange fault-injection plans for the live
-// transports: exchange i's sessions and export path are impaired by the
-// profile's schedule seeded with seed+i, so every exchange flaps
-// independently but deterministically. Call before Run.
-func (flr *FederatedLiveRun) EnableChaos(seed uint64, profile string) error {
-	if flr.ran {
-		return fmt.Errorf("rtbh: federated live run already executed")
-	}
-	p, err := faultnet.ParseProfile(profile)
-	if err != nil {
-		return err
-	}
-	flr.plans = make([]*faultnet.Plan, flr.fed.N)
-	for i := range flr.plans {
-		flr.plans[i] = faultnet.NewPlan(seed+uint64(i), p)
-	}
-	if flr.reg != nil {
-		flr.plans[0].M.Register(flr.reg)
-	}
-	return nil
+	return &FederatedLiveRun{LiveRun: lr}, nil
 }
 
 // EnableSnapshotChaos arms a fault-injection plan on the snapshot
@@ -124,198 +52,15 @@ func (flr *FederatedLiveRun) EnableSnapshotChaos(seed uint64, profile string) er
 	return nil
 }
 
-// Interrupted reports whether Run ended early because its context was
-// cancelled.
-func (flr *FederatedLiveRun) Interrupted() bool { return flr.interrupted }
-
-// Run drives the planned world through every exchange's live
-// transports and writes one standalone dataset per exchange into
-// dir/ixp<i> — the same files SimulateFederated writes, byte-identical
-// for the same Config. It returns after all exchanges' streams have
-// drained and reconciled and the archives are flushed.
+// Run is LiveRun.Run reporting each exchange's volumes: it writes one
+// standalone dataset per exchange into dir/ixp<i> — the same files
+// SimulateFederated writes, byte-identical for the same Config.
 func (flr *FederatedLiveRun) Run(ctx context.Context) (*FederatedSummary, error) {
-	if flr.ran {
-		return nil, fmt.Errorf("rtbh: federated live run already executed")
+	res, err := flr.run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	flr.ran = true
-	w, fed := flr.w, flr.fed
-	n := fed.N
-
-	type ixpState struct {
-		mrtFile, flowFile *os.File
-		mrtW              *mrt.Writer
-		flowW             *ipfix.Writer
-		runner            *live.Runner
-		rs                *routeserver.Server
-		fb                *fabric.Fabric
-		rsMu              sync.Mutex
-		flowCount         int64
-	}
-	ixps := make([]*ixpState, n)
-	defer func() {
-		for _, s := range ixps {
-			if s == nil {
-				continue
-			}
-			if s.runner != nil {
-				s.runner.Shutdown() //nolint:errcheck // best-effort cleanup
-			}
-			s.mrtFile.Close()
-			s.flowFile.Close()
-		}
-	}()
-
-	for i := 0; i < n; i++ {
-		sub := IXPDir(flr.dir, i)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		s := &ixpState{}
-		var err error
-		if s.mrtFile, err = os.Create(filepath.Join(sub, FileUpdates)); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		ixps[i] = s
-		if s.flowFile, err = os.Create(filepath.Join(sub, FileFlows)); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		s.mrtW = mrt.NewWriter(s.mrtFile)
-		s.flowW = ipfix.NewWriter(s.flowFile, 1)
-
-		analyzer := flr.analyzers[i]
-		deliver := func(ts time.Time, peer uint32, upd *bgp.Update) error {
-			s.rsMu.Lock()
-			_, err := s.rs.Process(ts, peer, upd)
-			s.rsMu.Unlock()
-			if err != nil {
-				return err
-			}
-			analyzer.ObserveUpdate(ts, peer, upd)
-			return nil
-		}
-		onPeerFlush := func(peer uint32) {
-			s.rsMu.Lock()
-			s.rs.PeerDown(peer)
-			s.rsMu.Unlock()
-		}
-		flowSink := func(b *ipfix.RecordBatch) error {
-			if err := s.flowW.WriteBatch(b); err != nil {
-				return err
-			}
-			analyzer.ObserveFlowBatch(b)
-			return nil
-		}
-		rcfg := live.RunnerConfig{}
-		if flr.plans != nil {
-			rcfg.Fault = flr.plans[i]
-			rcfg.Session = live.SessionConfig{
-				HoldTime:     30 * time.Second,
-				ReconnectMin: 2 * time.Millisecond,
-				ReconnectMax: 50 * time.Millisecond,
-			}
-		}
-		if s.runner, err = live.NewRunner(ctx, rcfg, flr.lms[i], deliver, onPeerFlush, flowSink); err != nil {
-			return nil, err
-		}
-	}
-
-	st, driveErr := scenario.Drive(w, func(fabricRNG *stats.RNG) (scenario.Executor, error) {
-		src, err := fabric.NewSampleSource(w.Cfg.SamplingRate, fabricRNG)
-		if err != nil {
-			return nil, err
-		}
-		exs := make([]scenario.Executor, n)
-		for i := 0; i < n; i++ {
-			s := ixps[i]
-			mrtW := s.mrtW
-			if s.rs, err = scenario.NewRouteServer(w); err != nil {
-				return nil, err
-			}
-			s.rs.SetCollector(func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-				rec := mrt.Record{
-					Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-					PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
-				}
-				// Write errors surface at Flush below, as in Simulate.
-				_ = mrtW.WriteRecord(&rec)
-			})
-			runner := s.runner
-			if s.fb, err = fabric.NewWithSource(s.rs, src, func(b *ipfix.RecordBatch) error {
-				s.flowCount += int64(b.Len())
-				return runner.ExportFlowBatch(b)
-			}); err != nil {
-				return nil, err
-			}
-			s.fb.ClockOffset = fed.ClockOffsets[i]
-			if flr.reg != nil && i == 0 {
-				s.rs.RegisterMetrics(flr.reg)
-				s.fb.RegisterMetrics(flr.reg)
-			}
-			runner.SetRouteServerASN(uint32(w.RSASN))
-			exs[i] = liveExecutor{r: runner, fb: s.fb}
-		}
-		return &federatedLiveExecutor{fed: fed, exs: exs}, nil
-	})
-	if driveErr != nil {
-		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
-			return nil, driveErr
-		}
-		flr.interrupted = true
-	}
-	if st == nil {
-		st = &scenario.DriveStats{}
-	}
-
-	// Drain and reconcile every exchange — even on an interrupted run —
-	// so each archive and its analyzer agree on the delivered prefix.
-	for i, s := range ixps {
-		if err := s.runner.Drain(); err != nil {
-			return nil, fmt.Errorf("rtbh: IXP %d: %w", i, err)
-		}
-		if err := s.runner.Reconcile(); err != nil {
-			return nil, fmt.Errorf("rtbh: IXP %d: %w", i, err)
-		}
-		if err := s.runner.Shutdown(); err != nil {
-			return nil, fmt.Errorf("rtbh: IXP %d: %w", i, err)
-		}
-	}
-
-	sum := &FederatedSummary{
-		IXPs:              n,
-		MultiHomedMembers: fed.MultiHomedMembers(),
-		Events:            len(w.Events),
-		Hosts:             len(w.Hosts),
-		Members:           len(w.Members),
-		Announcements:     st.Announcements,
-		Withdrawals:       st.Withdrawals,
-	}
-	for i, s := range ixps {
-		if err := s.mrtW.Flush(); err != nil {
-			return nil, fmt.Errorf("rtbh: flushing MRT for IXP %d: %w", i, err)
-		}
-		if err := s.flowW.Flush(); err != nil {
-			return nil, fmt.Errorf("rtbh: flushing IPFIX for IXP %d: %w", i, err)
-		}
-		sub := IXPDir(flr.dir, i)
-		if err := writeJSON(filepath.Join(sub, FileMetadata), metaOf(w)); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FilePDB), w.PDB.WriteJSON); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
-			return nil, err
-		}
-		fst := s.fb.Stats()
-		sum.ControlMsgs = append(sum.ControlMsgs, s.rs.MessagesProcessed())
-		sum.FlowRecords = append(sum.FlowRecords, s.flowCount)
-		sum.PacketsIn = append(sum.PacketsIn, fst.PacketsIn)
-		sum.PacketsDropped = append(sum.PacketsDropped, fst.PacketsDropped)
-	}
-	return sum, nil
+	return federatedSummary(res), nil
 }
 
 // Report federates the online analyzers: each exchange's state is
@@ -337,8 +82,8 @@ func (flr *FederatedLiveRun) Report(opts Options) (*FederatedReport, error) {
 	defer srv.Close()
 
 	attempts := 3
-	for i, a := range flr.analyzers {
-		snap, err := a.FederationState(i, 1, flr.fed.ClockOffsets[i])
+	for i, ix := range flr.ixps {
+		snap, err := ix.analyzer.FederationState(i, 1, flr.fed.ClockOffsets[i])
 		if err != nil {
 			return nil, err
 		}
@@ -362,30 +107,12 @@ func (flr *FederatedLiveRun) Report(opts Options) (*FederatedReport, error) {
 	}
 
 	datasets := make([]*Dataset, flr.fed.N)
-	for i := range datasets {
-		ds, err := OpenDataset(IXPDir(flr.dir, i))
+	for i, ix := range flr.ixps {
+		ds, err := OpenDataset(ix.dir)
 		if err != nil {
 			return nil, err
 		}
 		datasets[i] = ds
 	}
 	return composeFederatedReport(merged, datasets, opts)
-}
-
-// federatedLiveExecutor routes the driver's total order across the
-// per-exchange live executors: control to the announcing member's home
-// exchange, batches wherever the federation anchors them (the
-// per-exchange barrier in liveExecutor.Inject still guarantees that
-// exchange's control plane is current before its fabric forwards).
-type federatedLiveExecutor struct {
-	fed *scenario.Federation
-	exs []scenario.Executor
-}
-
-func (e *federatedLiveExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
-	return e.exs[e.fed.Home(peerAS)].Control(ts, peerAS, upd)
-}
-
-func (e *federatedLiveExecutor) Inject(b *fabric.Batch) error {
-	return e.exs[e.fed.DispatchIXP(b)].Inject(b)
 }

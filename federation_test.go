@@ -71,6 +71,56 @@ func TestFederatedParityGolden(t *testing.T) {
 	}
 }
 
+// TestFederatedSingleExchangeArchives pins the invariant the single
+// driver rests on: a federation with one exchange is the single IXP.
+// Every file SimulateFederated writes into ixp0 must be byte-identical
+// to what Simulate writes for the same config — under the escalate
+// policy, so FlowSpec rules and their mitigation are covered too.
+func TestFederatedSingleExchangeArchives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a full test-scale world twice")
+	}
+	cfg := goldenConfig()
+	cfg.MitigationPolicy = "escalate"
+	cfg.IXPs = 1
+	single, fed := t.TempDir(), t.TempDir()
+	sum, err := rtbh.Simulate(cfg, single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsum, err := rtbh.SimulateFederated(cfg, fed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fsum.IXPs != 1 || fsum.FlowRecords[0] != sum.FlowRecords || fsum.ControlMsgs[0] != sum.ControlMsgs {
+		t.Errorf("federated summary %+v disagrees with single-exchange summary %+v", fsum, sum)
+	}
+	names := []string{rtbh.FileUpdates, rtbh.FileFlows, rtbh.FileMetadata, rtbh.FileIP2AS, rtbh.FilePDB, rtbh.FileTruth}
+	for _, name := range names {
+		want, err := os.ReadFile(filepath.Join(single, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(rtbh.IXPDir(fed, 0), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Errorf("%s is empty; the comparison would be vacuous", name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("ixp0/%s differs from the single-exchange dataset: %d bytes, want %d", name, len(got), len(want))
+		}
+	}
+	entries, err := os.ReadDir(rtbh.IXPDir(fed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(names) {
+		t.Errorf("ixp0 holds %d files, want %d", len(entries), len(names))
+	}
+}
+
 // TestFederatedParityUnion partitions the golden world across three
 // exchanges with disjoint member subsets and merges the three datasets
 // back through the coordinator: the global report must be byte-identical

@@ -34,12 +34,10 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultBatchSize is the number of records per dispatch batch; batching
-// amortizes channel synchronization over ~200KB of records.
+// DefaultBatchSize is the nominal number of records per dispatch batch
+// (the capacity of the per-shard key slices); batching amortizes channel
+// synchronization over ~200KB of records.
 const DefaultBatchSize = 4096
-
-// Source streams flow records to fn, exactly like Dataset.EachFlow.
-type Source func(fn func(*ipfix.FlowRecord) error) error
 
 // BatchSource streams pooled record batches to fn, exactly like
 // Dataset.EachFlowBatch. The runner retains each batch (per the
@@ -65,11 +63,10 @@ type shardChunk struct {
 }
 
 // Parallel runs the single-pass analysis across worker-owned operator
-// shards. Build with NewParallel, then Run, and read results from
+// shards. Build with NewParallel, then RunBatches, and read results from
 // Pipeline().
 type Parallel struct {
-	workers   int
-	batchSize int
+	workers int
 	// shift positions the shard key at the top minLen bits of an address.
 	shift uint
 	// merged accumulates the combined state; shards hold per-worker state.
@@ -97,7 +94,7 @@ type parallelObs struct {
 // (pipeline.shard.NN.records, counting every record role the shard
 // processed), the per-operator shard-merge timers (pipeline.merge.*),
 // and pipeline.merges, the number of shard merges performed. Call before
-// Run.
+// RunBatches.
 func (pp *Parallel) Instrument(reg *obs.Registry) {
 	pp.merged.RegisterMetrics(reg)
 	po := &parallelObs{}
@@ -128,9 +125,8 @@ func NewParallel(meta *analysis.Metadata, updates []analysis.ControlUpdate, delt
 		workers = runtime.GOMAXPROCS(0)
 	}
 	pp := &Parallel{
-		workers:   workers,
-		batchSize: DefaultBatchSize,
-		merged:    p,
+		workers: workers,
+		merged:  p,
 	}
 	if ls := p.Index.Lengths(); len(ls) > 0 {
 		pp.shift = uint(32 - ls[len(ls)-1])
@@ -145,7 +141,7 @@ func NewParallel(meta *analysis.Metadata, updates []analysis.ControlUpdate, delt
 func (pp *Parallel) Workers() int { return pp.workers }
 
 // BindFlow points the merged pipeline and every shard at the FlowSpec
-// mitigation view. Call before Run.
+// mitigation view. Call before RunBatches.
 func (pp *Parallel) BindFlow(ix *mitigation.Index) {
 	pp.merged.BindFlow(ix)
 	for _, sh := range pp.shards {
@@ -154,7 +150,7 @@ func (pp *Parallel) BindFlow(ix *mitigation.Index) {
 }
 
 // Pipeline returns the merged pipeline. Its operators are complete once
-// Run returned.
+// RunBatches returned.
 func (pp *Parallel) Pipeline() *Pipeline { return pp.merged }
 
 // shardOf maps an address to its owning shard. Addresses inside the same
@@ -169,31 +165,6 @@ func (pp *Parallel) shardOf(ip uint32) int {
 	key *= 0x94d049bb133111eb
 	key ^= key >> 31
 	return int(key % uint64(pp.workers))
-}
-
-// Run streams per-record src through the shards. The records are packed
-// into pooled batches (one copy, as any record source must materialize
-// them somewhere) and handed to the zero-copy batch path.
-func (pp *Parallel) Run(src Source) error {
-	return pp.RunBatches(func(fn ipfix.BatchSink) error {
-		b := ipfix.GetBatch()
-		err := src(func(rec *ipfix.FlowRecord) error {
-			b.Recs = append(b.Recs, *rec)
-			if len(b.Recs) >= pp.batchSize {
-				if err := fn(b); err != nil {
-					return err
-				}
-				b.Release()
-				b = ipfix.GetBatch()
-			}
-			return nil
-		})
-		if err == nil && len(b.Recs) > 0 {
-			err = fn(b)
-		}
-		b.Release()
-		return err
-	})
 }
 
 // RunBatches streams src through the shards and merges the operator
@@ -263,7 +234,7 @@ func (pp *Parallel) runBatches(src BatchSource) error {
 		if ks, ok := pp.pool.Get().([]uint32); ok {
 			return ks
 		}
-		return make([]uint32, 0, pp.batchSize)
+		return make([]uint32, 0, DefaultBatchSize)
 	}
 	scratch := make([][]uint32, pp.workers)
 	for i := range scratch {

@@ -147,17 +147,6 @@ func parityStream(n int) []ipfix.FlowRecord {
 	return recs
 }
 
-func sliceSource(recs []ipfix.FlowRecord) Source {
-	return func(fn func(*ipfix.FlowRecord) error) error {
-		for i := range recs {
-			if err := fn(&recs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // snapshot captures every derived outcome the report reads from a
 // pipeline; two pipelines with equal snapshots produce identical reports.
 type snapshot struct {
@@ -242,7 +231,7 @@ func (s snapshot) mustEqual(t *testing.T, ref snapshot, label string) {
 // exactly, down to bounded-structure saturation behaviour.
 func TestParallelParity(t *testing.T) {
 	recs := parityStream(30000)
-	src := sliceSource(recs)
+	src := batchSource(chunkBatches(recs, 64)) // many batches per shard
 
 	seq, err := New(testMeta(), parityUpdates(), events.DefaultDelta)
 	if err != nil {
@@ -265,8 +254,7 @@ func TestParallelParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pp.batchSize = 64 // force many batches per shard
-			if err := pp.Run(src); err != nil {
+			if err := pp.RunBatches(src); err != nil {
 				t.Fatal(err)
 			}
 			snap(pp.Pipeline()).mustEqual(t, ref, fmt.Sprintf("workers=%d", workers))
@@ -281,9 +269,9 @@ func TestParallelSourceError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	bad := Source(func(fn func(*ipfix.FlowRecord) error) error { return boom })
-	if err := pp.Run(bad); err != boom {
-		t.Fatalf("Run err = %v, want boom", err)
+	bad := BatchSource(func(fn ipfix.BatchSink) error { return boom })
+	if err := pp.RunBatches(bad); err != boom {
+		t.Fatalf("RunBatches err = %v, want boom", err)
 	}
 }
 

@@ -42,6 +42,33 @@ func CheckIXPs(n int) error {
 	return nil
 }
 
+// ExchangeFlag is a flag whose use depends on the exchange count.
+type ExchangeFlag struct {
+	Name string
+	// Set reports whether the flag is in use on the command line.
+	Set bool
+	// Federated marks a flag that acts on the federation itself and so
+	// needs -ixps > 1. Every other flag works on a single exchange only.
+	Federated bool
+}
+
+// CheckExchangeFlags rejects the flags in use that do not fit the
+// exchange count: single-exchange flags with -ixps > 1, federation
+// flags with -ixps 1. A flag that would otherwise be silently ignored
+// is an error.
+func CheckExchangeFlags(ixps int, flags ...ExchangeFlag) error {
+	for _, f := range flags {
+		switch {
+		case !f.Set:
+		case f.Federated && ixps <= 1:
+			return fmt.Errorf("-%s needs a federation; add -ixps N with N > 1 or drop the -%s flag", f.Name, f.Name)
+		case !f.Federated && ixps > 1:
+			return fmt.Errorf("-%s supports a single exchange; drop -ixps or the -%s flag", f.Name, f.Name)
+		}
+	}
+	return nil
+}
+
 // CheckSnapshotEvery validates an explicitly set -snapshot-every flag:
 // the cadence must be a positive duration (omit the flag to disable
 // periodic snapshots).

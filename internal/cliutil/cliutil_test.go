@@ -42,6 +42,36 @@ func TestCheckIXPs(t *testing.T) {
 	}
 }
 
+func TestCheckExchangeFlags(t *testing.T) {
+	single := ExchangeFlag{Name: "detect", Set: true}
+	federated := ExchangeFlag{Name: "snapshot-chaos-profile", Set: true, Federated: true}
+	unset := func(f ExchangeFlag) ExchangeFlag { f.Set = false; return f }
+	for _, tc := range []struct {
+		ixps  int
+		flags []ExchangeFlag
+		bad   string // flag named in the error, "" for none
+	}{
+		{1, nil, ""},
+		{3, nil, ""},
+		{1, []ExchangeFlag{single}, ""},
+		{3, []ExchangeFlag{single}, "-detect"},
+		{3, []ExchangeFlag{unset(single)}, ""},
+		{3, []ExchangeFlag{federated}, ""},
+		{1, []ExchangeFlag{federated}, "-snapshot-chaos-profile"},
+		{1, []ExchangeFlag{unset(federated)}, ""},
+		{2, []ExchangeFlag{federated, single}, "-detect"},
+		{1, []ExchangeFlag{single, federated}, "-snapshot-chaos-profile"},
+	} {
+		err := CheckExchangeFlags(tc.ixps, tc.flags...)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("ixps %d, %+v: %v, want nil", tc.ixps, tc.flags, err)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad+" ")):
+			t.Errorf("ixps %d, %+v: %v, want an error naming %s", tc.ixps, tc.flags, err, tc.bad)
+		}
+	}
+}
+
 func TestCheckSnapshotEvery(t *testing.T) {
 	for _, d := range []time.Duration{time.Millisecond, time.Second, time.Hour} {
 		if err := CheckSnapshotEvery(d); err != nil {

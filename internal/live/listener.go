@@ -94,8 +94,17 @@ func Listen(addr string, asn uint32, cfg SessionConfig, hooks Hooks, m *Metrics)
 // Addr returns the listener's address, suitable for Dial.
 func (l *Listener) Addr() string { return l.ln.Addr().String() }
 
+// acceptLoop hands every accepted connection to its own serve
+// goroutine, chaining them by claim turns: a connection's turn opens once
+// the connection accepted before it has claimed its peer slot or failed
+// its handshake. Accept order is the speakers' dial order — a speaker
+// dials a replacement only after its previous session died — so claims
+// made in turn install each peer's sessions in the order they carried
+// its updates, however the handshake goroutines are scheduled.
 func (l *Listener) acceptLoop() {
 	defer l.wg.Done()
+	turn := make(chan struct{})
+	close(turn)
 	for {
 		c, err := l.ln.Accept()
 		if err != nil {
@@ -111,7 +120,9 @@ func (l *Listener) acceptLoop() {
 		l.conns[conn] = struct{}{}
 		l.wg.Add(1)
 		l.mu.Unlock()
-		go l.serve(conn)
+		next := make(chan struct{})
+		go l.serve(conn, turn, next)
+		turn = next
 	}
 }
 
@@ -133,14 +144,18 @@ func (l *Listener) claimPeer(peer uint32) (prev, done chan struct{}) {
 	return prev, done
 }
 
-// serve runs one session end to end.
-func (l *Listener) serve(conn *srvConn) {
+// serve runs one session end to end. It claims its peer slot only once
+// turn is closed, and closes next when it has claimed or failed (see
+// acceptLoop).
+func (l *Listener) serve(conn *srvConn, turn <-chan struct{}, next chan<- struct{}) {
 	defer l.wg.Done()
 	defer l.forget(conn)
 	defer conn.Close()
 
 	peer, r, err := l.handshake(conn)
+	<-turn
 	if err != nil {
+		close(next)
 		return // handshake failures are not peer-downs: no session existed
 	}
 
@@ -153,6 +168,7 @@ func (l *Listener) serve(conn *srvConn) {
 	// restart guard a deterministic down-before-up ordering. The wait is
 	// bounded by the hold time: a truly wedged predecessor expires then.
 	prev, done := l.claimPeer(peer)
+	close(next)
 	defer close(done)
 	if prev != nil {
 		select {

@@ -29,12 +29,11 @@ type Federation struct {
 	multi map[uint32]bool
 }
 
-// PlanFederation derives the federation of the planned world from its
-// config: home assignments for every member, per-IXP clock offsets, and
-// the deterministic multi-homed member selection (seed-derived, so the
-// same world always federates identically).
-func PlanFederation(w *World) *Federation {
-	n := w.Cfg.IXPs
+// PlanFederation federates the planned world across n exchanges (at
+// least one): home assignments for every member, per-IXP clock offsets
+// from the config, and the deterministic multi-homed member selection
+// (seed-derived, so the same world always federates identically).
+func PlanFederation(w *World, n int) *Federation {
 	if n < 1 {
 		n = 1
 	}
@@ -115,106 +114,99 @@ func (f *Federation) DispatchIXP(b *fabric.Batch) int {
 	return h
 }
 
-// FederatedResult summarizes a completed federated run.
-type FederatedResult struct {
-	World      *World
-	Federation *Federation
-	// Per-IXP measurements, indexed by exchange.
-	FabricStats []fabric.Stats
-	ControlMsgs []int
-	FlowRecords []int64
-
-	Announcements int
-	Withdrawals   int
+// Route returns the executor that dispatches Drive's total order across
+// exs, one executor per exchange: control messages to the announcing
+// member's home exchange, batches wherever DispatchIXP anchors them.
+// With a single exchange it is exs[0] itself, so routing costs nothing.
+func (f *Federation) Route(exs []Executor) Executor {
+	if len(exs) == 1 {
+		return exs[0]
+	}
+	return &router{fed: f, exs: exs}
 }
 
-// federatedExecutor routes Drive's total event order across the per-IXP
-// executors: control messages to the announcing member's home exchange,
-// batches wherever DispatchIXP anchors them.
-type federatedExecutor struct {
+type router struct {
 	fed *Federation
 	exs []Executor
 }
 
-func (e *federatedExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
-	return e.exs[e.fed.Home(peerAS)].Control(ts, peerAS, upd)
+func (r *router) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
+	return r.exs[r.fed.Home(peerAS)].Control(ts, peerAS, upd)
 }
 
-func (e *federatedExecutor) Inject(b *fabric.Batch) error {
-	return e.exs[e.fed.DispatchIXP(b)].Inject(b)
+func (r *router) Inject(b *fabric.Batch) error {
+	return r.exs[r.fed.DispatchIXP(b)].Inject(b)
 }
 
-// RunFederated executes the planned world across the federation's
-// exchanges: one route server and fabric per IXP, fed from the same
-// totally ordered action stream Run dispatches, with every fabric
-// drawing from one shared sample source. With IXPs == 1 the emitted
-// streams are byte-identical to Run's; with more, they partition them
-// (exactly, when MultiHomedShare is zero).
-//
-// sinks must have one entry per exchange.
-func RunFederated(w *World, sinks []Sinks) (*FederatedResult, error) {
-	fed := PlanFederation(w)
-	if len(sinks) != fed.N {
-		return nil, fmt.Errorf("scenario: %d sinks for %d IXPs", len(sinks), fed.N)
-	}
-	for i := range sinks {
-		if sinks[i].Flow == nil {
-			return nil, fmt.Errorf("scenario: Sinks[%d].Flow is required", i)
-		}
-	}
+// Exchange is one IXP of a run: its route server and switching fabric.
+// As an Executor it runs in process: control messages go straight to the
+// route server, batches straight to the fabric.
+type Exchange struct {
+	RS      *routeserver.Server
+	FB      *fabric.Fabric
+	records int64
+}
 
-	res := &FederatedResult{
-		World:       w,
-		Federation:  fed,
-		FabricStats: make([]fabric.Stats, fed.N),
-		ControlMsgs: make([]int, fed.N),
-		FlowRecords: make([]int64, fed.N),
-	}
-	rss := make([]*routeserver.Server, fed.N)
-	fbs := make([]*fabric.Fabric, fed.N)
+func (x *Exchange) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
+	_, err := x.RS.Process(ts, peerAS, upd)
+	return err
+}
 
-	st, err := Drive(w, func(fabricRNG *stats.RNG) (Executor, error) {
-		src, err := fabric.NewSampleSource(w.Cfg.SamplingRate, fabricRNG)
-		if err != nil {
-			return nil, err
-		}
-		exs := make([]Executor, fed.N)
-		for i := 0; i < fed.N; i++ {
-			i := i
-			rs, err := NewRouteServer(w)
-			if err != nil {
-				return nil, err
-			}
-			if sinks[i].Control != nil {
-				rs.SetCollector(sinks[i].Control)
-			}
-			fb, err := fabric.NewWithSource(rs, src, func(b *ipfix.RecordBatch) error {
-				res.FlowRecords[i] += int64(b.Len())
-				return sinks[i].Flow(b)
-			})
-			if err != nil {
-				return nil, err
-			}
-			fb.ClockOffset = fed.ClockOffsets[i]
-			if sinks[i].Metrics != nil {
-				rs.RegisterMetrics(sinks[i].Metrics)
-				fb.RegisterMetrics(sinks[i].Metrics)
-			}
-			rss[i] = rs
-			fbs[i] = fb
-			exs[i] = directExecutor{rs: rs, fb: fb}
-		}
-		return &federatedExecutor{fed: fed, exs: exs}, nil
-	})
+func (x *Exchange) Inject(b *fabric.Batch) error { return x.FB.Inject(b) }
+
+// NewExchanges builds the federation's exchanges inside Drive's build
+// callback: one route server and fabric per sink, exchange i feeding
+// sinks[i], with every fabric drawing from one sample source over
+// fabricRNG. A single exchange is thereby exactly fabric.New over
+// fabricRNG.
+func (f *Federation) NewExchanges(fabricRNG *stats.RNG, sinks []Sinks) ([]*Exchange, error) {
+	if len(sinks) != f.N {
+		return nil, fmt.Errorf("scenario: %d sinks for %d IXPs", len(sinks), f.N)
+	}
+	src, err := fabric.NewSampleSource(f.W.Cfg.SamplingRate, fabricRNG)
 	if err != nil {
 		return nil, err
 	}
-
-	for i := 0; i < fed.N; i++ {
-		res.FabricStats[i] = fbs[i].Stats()
-		res.ControlMsgs[i] = rss[i].MessagesProcessed()
+	xs := make([]*Exchange, f.N)
+	for i, s := range sinks {
+		if s.Flow == nil {
+			return nil, fmt.Errorf("scenario: Sinks[%d].Flow is required", i)
+		}
+		rs, err := NewRouteServer(f.W)
+		if err != nil {
+			return nil, err
+		}
+		if s.Control != nil {
+			rs.SetCollector(s.Control)
+		}
+		x := &Exchange{RS: rs}
+		flow := s.Flow
+		if x.FB, err = fabric.NewWithSource(rs, src, func(b *ipfix.RecordBatch) error {
+			x.records += int64(b.Len())
+			return flow(b)
+		}); err != nil {
+			return nil, err
+		}
+		x.FB.ClockOffset = f.ClockOffsets[i]
+		if s.Metrics != nil {
+			rs.RegisterMetrics(s.Metrics)
+			x.FB.RegisterMetrics(s.Metrics)
+		}
+		xs[i] = x
 	}
-	res.Announcements = st.Announcements
-	res.Withdrawals = st.Withdrawals
-	return res, nil
+	return xs, nil
+}
+
+// Result summarizes a completed Drive over the exchanges xs.
+func (f *Federation) Result(xs []*Exchange, st *DriveStats) *Result {
+	res := &Result{World: f.W, Federation: f, DriveStats: *st}
+	for _, x := range xs {
+		res.IXPs = append(res.IXPs, IXPResult{
+			FabricStats: x.FB.Stats(),
+			ControlMsgs: x.RS.MessagesProcessed(),
+			FlowRecords: x.records,
+			Mitigation:  x.FB.Mitigation(),
+		})
+	}
+	return res
 }

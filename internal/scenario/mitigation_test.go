@@ -38,7 +38,7 @@ func TestMitigationEfficacy(t *testing.T) {
 		if e.Attack == nil || e.FlowSpec == nil {
 			continue
 		}
-		em, ok := res.Mitigation[e.ID]
+		em, ok := res.IXPs[0].Mitigation[e.ID]
 		if !ok {
 			t.Fatalf("event %d has a FlowSpec window but no ledger entry", e.ID)
 		}
@@ -106,7 +106,7 @@ func TestMitigationPolicyDefaultUntouched(t *testing.T) {
 		t.Fatalf("default run dispatched FlowSpec control: %d announces, %d withdraws",
 			res.FlowSpecAnnouncements, res.FlowSpecWithdrawals)
 	}
-	for id, em := range res.Mitigation {
+	for id, em := range res.IXPs[0].Mitigation {
 		fs := em.Attack[fabric.PhaseFlowSpec].Total() + em.Legit[fabric.PhaseFlowSpec].Total()
 		if fs != 0 {
 			t.Fatalf("event %d has FlowSpec-phase traffic under the default policy", id)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Sinks receives the simulation's measurement streams.
+// Sinks receives one exchange's measurement streams.
 type Sinks struct {
 	// Control receives every BGP message at the route server (wired to
 	// an MRT writer in production use). May be nil.
@@ -32,16 +31,19 @@ type Sinks struct {
 
 // Result summarizes a completed run.
 type Result struct {
-	World         *World
-	FabricStats   fabric.Stats
-	ControlMsgs   int
-	Announcements int // UPDATE messages announcing RTBH prefixes
-	Withdrawals   int // UPDATE messages withdrawing RTBH prefixes
-	FlowRecords   int64
-	// FlowSpecAnnouncements/Withdrawals count FlowSpec control messages
-	// (zero under the default mitigation policy).
-	FlowSpecAnnouncements int
-	FlowSpecWithdrawals   int
+	World      *World
+	Federation *Federation
+	// IXPs holds each exchange's measurements, indexed like the sinks.
+	IXPs []IXPResult
+	// DriveStats counts the control messages dispatched to all exchanges.
+	DriveStats
+}
+
+// IXPResult is one exchange's measurements.
+type IXPResult struct {
+	FabricStats fabric.Stats
+	ControlMsgs int
+	FlowRecords int64
 	// Mitigation is the fabric's ground-truth per-event mitigation
 	// ledger, keyed by event ID.
 	Mitigation map[int]fabric.EventMitigation
@@ -101,74 +103,36 @@ func NewRouteServer(w *World) (*routeserver.Server, error) {
 	return rs, nil
 }
 
-// Run executes the planned world chronologically, feeding the route
-// server, the switching fabric and the sinks.
-func Run(w *World, sinks Sinks) (*Result, error) {
-	if sinks.Flow == nil {
-		return nil, fmt.Errorf("scenario: Sinks.Flow is required")
-	}
-	res := &Result{World: w}
-
-	var (
-		rs        *routeserver.Server
-		fb        *fabric.Fabric
-		flowCount int64
-	)
+// Run executes the planned world chronologically across one exchange
+// per sink, feeding each exchange's route server, switching fabric and
+// sinks. One sink is the single IXP the paper measures; with more, the
+// members are federated (see Federation) and the exchanges' streams
+// partition the single exchange's (exactly, when MultiHomedShare is
+// zero), every fabric drawing from one shared sample source.
+func Run(w *World, sinks ...Sinks) (*Result, error) {
+	fed := PlanFederation(w, len(sinks))
+	var xs []*Exchange
 	st, err := Drive(w, func(fabricRNG *stats.RNG) (Executor, error) {
 		var err error
-		if rs, err = NewRouteServer(w); err != nil {
+		if xs, err = fed.NewExchanges(fabricRNG, sinks); err != nil {
 			return nil, err
 		}
-		if sinks.Control != nil {
-			rs.SetCollector(sinks.Control)
+		exs := make([]Executor, len(xs))
+		for i, x := range xs {
+			exs[i] = x
 		}
-		fb, err = fabric.New(rs, w.Cfg.SamplingRate, fabricRNG, func(b *ipfix.RecordBatch) error {
-			flowCount += int64(b.Len())
-			return sinks.Flow(b)
-		})
-		if err != nil {
-			return nil, err
-		}
-		fb.ClockOffset = w.Cfg.ClockOffset
-		if sinks.Metrics != nil {
-			rs.RegisterMetrics(sinks.Metrics)
-			fb.RegisterMetrics(sinks.Metrics)
-		}
-		return directExecutor{rs: rs, fb: fb}, nil
+		return fed.Route(exs), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res.FabricStats = fb.Stats()
-	res.ControlMsgs = rs.MessagesProcessed()
-	res.Announcements = st.Announcements
-	res.Withdrawals = st.Withdrawals
-	res.FlowSpecAnnouncements = st.FlowSpecAnnouncements
-	res.FlowSpecWithdrawals = st.FlowSpecWithdrawals
-	res.FlowRecords = flowCount
-	res.Mitigation = fb.Mitigation()
-	return res, nil
+	return fed.Result(xs, st), nil
 }
-
-// directExecutor is the in-process executor Run uses: control messages
-// go straight to the route server, batches straight to the fabric.
-type directExecutor struct {
-	rs *routeserver.Server
-	fb *fabric.Fabric
-}
-
-func (e directExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
-	_, err := e.rs.Process(ts, peerAS, upd)
-	return err
-}
-
-func (e directExecutor) Inject(b *fabric.Batch) error { return e.fb.Inject(b) }
 
 // Drive walks the planned world's total event order and dispatches every
 // action to the executor created by build. The RNG substream handed to
-// build is the exact fork Run passes to fabric.New, so an executor that
-// wraps a fabric constructed with it reproduces Run's data plane
+// build is the exact fork Run builds its exchanges over, so an executor
+// that wraps a fabric constructed with it reproduces Run's data plane
 // bit-identically; the control updates Drive builds are likewise
 // bit-identical to Run's. This is the seam the live subsystem uses to
 // put real transports between the scenario and the route server/fabric

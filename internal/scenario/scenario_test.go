@@ -334,14 +334,14 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.Announcements < len(w.Events) {
 		t.Fatalf("announcements (%d) below event count (%d)", res.Announcements, len(w.Events))
 	}
-	if len(msgs) != res.ControlMsgs {
-		t.Fatalf("collector saw %d messages, server processed %d", len(msgs), res.ControlMsgs)
+	if len(msgs) != res.IXPs[0].ControlMsgs {
+		t.Fatalf("collector saw %d messages, server processed %d", len(msgs), res.IXPs[0].ControlMsgs)
 	}
 	if len(flows) == 0 {
 		t.Fatal("no flow records")
 	}
-	if res.FlowRecords != int64(len(flows)) {
-		t.Fatalf("record counters disagree: %d vs %d", res.FlowRecords, len(flows))
+	if res.IXPs[0].FlowRecords != int64(len(flows)) {
+		t.Fatalf("record counters disagree: %d vs %d", res.IXPs[0].FlowRecords, len(flows))
 	}
 
 	// Some traffic must be dropped (blackholed), some forwarded.
@@ -364,7 +364,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal("no internal records to clean")
 	}
 
-	st := res.FabricStats
+	st := res.IXPs[0].FabricStats
 	if st.PacketsDropped == 0 || st.PacketsDropped >= st.PacketsIn {
 		t.Fatalf("fabric stats implausible: %+v", st)
 	}
@@ -373,7 +373,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	_, res1, flows1, _ := runSmall(t)
 	_, res2, flows2, _ := runSmall(t)
-	if res1.FlowRecords != res2.FlowRecords || res1.Announcements != res2.Announcements {
+	if res1.IXPs[0].FlowRecords != res2.IXPs[0].FlowRecords || res1.Announcements != res2.Announcements {
 		t.Fatalf("runs differ: %+v vs %+v", res1, res2)
 	}
 	for i := range flows1 {
@@ -541,7 +541,7 @@ func TestRunAcrossSeedsSanity(t *testing.T) {
 		if n == 0 || res.Announcements == 0 {
 			t.Fatalf("seed %d: empty run", seed)
 		}
-		st := res.FabricStats
+		st := res.IXPs[0].FabricStats
 		if st.PacketsDropped <= 0 || st.PacketsDropped >= st.PacketsIn {
 			t.Fatalf("seed %d: implausible drops %+v", seed, st)
 		}

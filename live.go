@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/ipfix"
 	"repro/internal/live"
-	"repro/internal/mrt"
 	"repro/internal/routeserver"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -35,17 +33,34 @@ import (
 // in-flight streams drain, the archive holds the delivered prefix of
 // the run, and the analyzer reports over exactly that prefix.
 type LiveRun struct {
-	cfg      Config
-	dir      string
-	reg      *MetricsRegistry
-	w        *scenario.World
-	analyzer *OnlineAnalyzer
-	lm       *live.Metrics
-	plan     *faultnet.Plan
-	det      *detect.Detector
+	cfg  Config
+	reg  *MetricsRegistry
+	w    *scenario.World
+	fed  *scenario.Federation
+	ixps []*liveIXP
+	det  *detect.Detector
 
 	ran         bool
 	interrupted bool
+}
+
+// liveIXP is one exchange of a live run: its dataset directory, online
+// analyzer and transports.
+type liveIXP struct {
+	dir      string
+	analyzer *OnlineAnalyzer
+	lm       *live.Metrics
+	plan     *faultnet.Plan
+
+	// Set by Run.
+	ds     *datasetWriter
+	runner *live.Runner
+	ex     *scenario.Exchange
+	// rsMu serializes route-server access: deliveries arrive on the
+	// sequencer's delivery goroutine, peer flushes on per-session
+	// listener goroutines, and the route server itself is not
+	// concurrency-safe.
+	rsMu sync.Mutex
 }
 
 // ChaosProfiles lists the fault-injection profile names accepted by
@@ -58,31 +73,36 @@ func ChaosProfiles() []string { return faultnet.ProfileNames() }
 // it immediately, and the route server and fabric add theirs
 // ("routeserver.*", "fabric.*") during Run.
 func NewLiveRun(cfg Config, dir string, reg *MetricsRegistry) (*LiveRun, error) {
+	return newLiveRun(cfg, []string{dir}, reg)
+}
+
+// newLiveRun plans the world described by cfg across one exchange per
+// directory and prepares each exchange's online analyzer. Only exchange
+// 0 registers its metrics on reg: the metric names are global.
+func newLiveRun(cfg Config, dirs []string, reg *MetricsRegistry) (*LiveRun, error) {
 	w, err := scenario.Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	lm := live.NewMetrics()
-	analyzer := NewOnlineAnalyzer(analysisMeta(w))
-	if reg != nil {
-		lm.Register(reg)
-		analyzer.RegisterMetrics(reg)
+	lr := &LiveRun{cfg: cfg, reg: reg, w: w, fed: scenario.PlanFederation(w, len(dirs))}
+	meta := analysisMeta(w)
+	for i, dir := range dirs {
+		ix := &liveIXP{dir: dir, analyzer: NewOnlineAnalyzer(meta), lm: live.NewMetrics()}
+		if reg != nil && i == 0 {
+			ix.lm.Register(reg)
+			ix.analyzer.RegisterMetrics(reg)
+		}
+		lr.ixps = append(lr.ixps, ix)
 	}
-	return &LiveRun{
-		cfg:      cfg,
-		dir:      dir,
-		reg:      reg,
-		w:        w,
-		analyzer: analyzer,
-		lm:       lm,
-	}, nil
+	return lr, nil
 }
 
 // Analyzer returns the run's online analyzer. Snapshot it at any time —
 // before, during or after Run. The looking-glass serving layer
 // (internal/serve, rtbh-live -serve) mounts its HTTP API over exactly
-// this analyzer: every endpoint is a cached view of its Snapshot.
-func (lr *LiveRun) Analyzer() *OnlineAnalyzer { return lr.analyzer }
+// this analyzer: every endpoint is a cached view of its Snapshot. A
+// federated run has one analyzer per exchange; this is exchange 0's.
+func (lr *LiveRun) Analyzer() *OnlineAnalyzer { return lr.ixps[0].analyzer }
 
 // Config returns the configuration the run was planned with; the
 // serving layer's health endpoint reports it so clients can tell which
@@ -94,7 +114,10 @@ func (lr *LiveRun) Config() Config { return lr.cfg }
 // IPFIX/UDP export path, scheduled deterministically from seed (see
 // internal/faultnet). Call before Run. The plan's injection counters
 // register on the run's metrics registry under "faultnet.*", so a
-// snapshot reconciles injected faults against observed recovery.
+// snapshot reconciles injected faults against observed recovery. In a
+// federated run exchange i's plan is seeded with seed+i, so every
+// exchange flaps independently but deterministically, and only exchange
+// 0's counters register.
 func (lr *LiveRun) EnableChaos(seed uint64, profile string) error {
 	if lr.ran {
 		return fmt.Errorf("rtbh: live run already executed")
@@ -103,9 +126,11 @@ func (lr *LiveRun) EnableChaos(seed uint64, profile string) error {
 	if err != nil {
 		return err
 	}
-	lr.plan = faultnet.NewPlan(seed, p)
-	if lr.reg != nil {
-		lr.plan.M.Register(lr.reg)
+	for i, ix := range lr.ixps {
+		ix.plan = faultnet.NewPlan(seed+uint64(i), p)
+		if lr.reg != nil && i == 0 {
+			ix.plan.M.Register(lr.reg)
+		}
 	}
 	return nil
 }
@@ -122,10 +147,14 @@ func (lr *LiveRun) EnableChaos(seed uint64, profile string) error {
 //
 // The detector is strictly opt-in: without it the archived dataset is
 // byte-identical to Simulate's, with it the archive additionally holds
-// the mitigation peer's announcements.
+// the mitigation peer's announcements. The detector supports a single
+// exchange; on a federated run it is an error.
 func (lr *LiveRun) EnableDetector(cfg detect.Config) error {
 	if lr.ran {
 		return fmt.Errorf("rtbh: live run already executed")
+	}
+	if n := len(lr.ixps); n > 1 {
+		return fmt.Errorf("rtbh: the detector supports a single exchange, the run has %d", n)
 	}
 	cfg.SamplingRate = lr.w.Cfg.SamplingRate
 	cfg.BlackholeMAC = fabric.BlackholeMAC
@@ -185,14 +214,18 @@ func (lr *LiveRun) EvaluateDetections(slack time.Duration) *detect.Eval {
 	return detect.Evaluate(lr.det.Status().Detections, lr.AttackTruth(), slack)
 }
 
-// ChaosJournal renders every fault the plan injected, grouped by stream:
-// byte-identical across runs with the same seed, profile and Config. It
-// is empty until Run and when chaos is not enabled.
+// ChaosJournal renders every fault the plan injected, grouped by stream
+// (exchange by exchange in a federated run): byte-identical across runs
+// with the same seed, profile and Config. It is empty until Run and when
+// chaos is not enabled.
 func (lr *LiveRun) ChaosJournal() string {
-	if lr.plan == nil {
-		return ""
+	var b strings.Builder
+	for _, ix := range lr.ixps {
+		if ix.plan != nil {
+			b.WriteString(ix.plan.Journal())
+		}
 	}
-	return lr.plan.Journal()
+	return b.String()
 }
 
 // Interrupted reports whether Run ended early because its context was
@@ -209,78 +242,160 @@ func (lr *LiveRun) Interrupted() bool { return lr.interrupted }
 // returns normally with Interrupted() set; any other failure is an
 // error.
 func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
+	res, err := lr.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return simulationSummary(res), nil
+}
+
+// run is the live driver for any exchange count: per exchange a dataset
+// writer and a runner whose sessions and export path carry that
+// exchange's share of the action stream, routed by the federation.
+func (lr *LiveRun) run(ctx context.Context) (*scenario.Result, error) {
 	if lr.ran {
 		return nil, fmt.Errorf("rtbh: live run already executed")
 	}
 	lr.ran = true
 	w := lr.w
+	defer func() {
+		for _, ix := range lr.ixps {
+			if ix.runner != nil {
+				ix.runner.Shutdown() //nolint:errcheck // best-effort cleanup
+			}
+			if ix.ds != nil {
+				ix.ds.close()
+			}
+		}
+	}()
 
-	if err := os.MkdirAll(lr.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
+	// The route server's collector hook archives the re-encoded wire
+	// message of every delivered update, byte-identical to the batch
+	// path; the fabric exports its records over the exchange's runner.
+	sinks := make([]scenario.Sinks, len(lr.ixps))
+	for i, ix := range lr.ixps {
+		var err error
+		if ix.ds, err = createDataset(w, ix.dir); err != nil {
+			return nil, err
+		}
+		if ix.runner, err = lr.newRunner(ctx, ix); err != nil {
+			return nil, err
+		}
+		sinks[i] = scenario.Sinks{Control: ix.ds.collect, Flow: ix.runner.ExportFlowBatch}
 	}
-	mrtFile, err := os.Create(filepath.Join(lr.dir, FileUpdates))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
+	sinks[0].Metrics = lr.reg
+
+	var xs []*scenario.Exchange
+	st, driveErr := scenario.Drive(w, func(fabricRNG *stats.RNG) (scenario.Executor, error) {
+		var err error
+		if xs, err = lr.fed.NewExchanges(fabricRNG, sinks); err != nil {
+			return nil, err
+		}
+		if lr.det != nil {
+			// The detector peers with the route server like any member:
+			// its announcements cross a real BGP session and are archived
+			// by the collector hook exactly like operator-originated RTBH.
+			if err := xs[0].RS.AddPeer(routeserver.Peer{
+				ASN:    detect.PeerASN,
+				IP:     w.RSIP + 0xFFFD,
+				Policy: routeserver.DefaultPolicy(),
+			}); err != nil {
+				return nil, err
+			}
+		}
+		exs := make([]scenario.Executor, len(xs))
+		for i, ix := range lr.ixps {
+			ix.ex = xs[i]
+			exs[i] = liveExecutor{r: ix.runner, fb: ix.ex.FB, det: lr.det}
+		}
+		return lr.fed.Route(exs), nil
+	})
+	if driveErr != nil {
+		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
+			return nil, driveErr
+		}
+		lr.interrupted = true
 	}
-	defer mrtFile.Close()
-	mrtW := mrt.NewWriter(mrtFile)
 
-	flowFile, err := os.Create(filepath.Join(lr.dir, FileFlows))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
+	// Drain every exchange — even on an interrupted run — so each archive
+	// and its analyzer agree on the delivered prefix.
+	for _, ix := range lr.ixps {
+		if err := ix.runner.Drain(); err != nil {
+			return nil, err
+		}
 	}
-	defer flowFile.Close()
-	flowW := ipfix.NewWriter(flowFile, 1)
 
-	// rs and fb are assigned inside Drive's build callback, strictly
-	// before the runner carries any traffic that reaches these closures.
-	var (
-		rs *routeserver.Server
-		fb *fabric.Fabric
-	)
+	// Close the mitigation loop: with every collected record observed, a
+	// final detector tick at the end of the scenario clock dispatches the
+	// announcements still pending — including those of detections the
+	// drain's last records fired — and withdraws blackholes whose
+	// cooldown has expired, so the archive records the full
+	// announce/withdraw lifecycle. A second drain settles those updates'
+	// sessions as the first settled the run's. Skipped on interruption —
+	// the runner refuses new updates once its context is cancelled.
+	if lr.det != nil && !lr.interrupted {
+		ix := lr.ixps[0]
+		ex := liveExecutor{r: ix.runner, fb: ix.ex.FB, det: lr.det}
+		if err := ex.dispatchDetections(w.Cfg.End()); err != nil {
+			return nil, err
+		}
+		if err := ix.runner.Drain(); err != nil {
+			return nil, err
+		}
+	}
 
-	// rsMu serializes route-server access: deliveries arrive on the
-	// sequencer's delivery goroutine, peer flushes on per-session
-	// listener goroutines, and the route server itself is not
-	// concurrency-safe.
-	var rsMu sync.Mutex
+	for _, ix := range lr.ixps {
+		if err := ix.runner.Reconcile(); err != nil {
+			return nil, err
+		}
+		if err := ix.runner.Shutdown(); err != nil {
+			return nil, err
+		}
+	}
+	for _, ix := range lr.ixps {
+		if err := ix.ds.finish(); err != nil {
+			return nil, err
+		}
+	}
+	return lr.fed.Result(xs, st), nil
+}
 
-	// Delivered updates (totally ordered by the sequencer) go to the
-	// route server — whose collector hook archives the re-encoded wire
-	// message, byte-identical to the batch path — and to the analyzer.
+// newRunner starts one exchange's live transports. Delivered updates
+// (totally ordered by the sequencer) go to the exchange's route server
+// and then its analyzer; collected flow records (in export order) feed
+// its archive, its analyzer and the detector.
+func (lr *LiveRun) newRunner(ctx context.Context, ix *liveIXP) (*live.Runner, error) {
 	deliver := func(ts time.Time, peer uint32, upd *bgp.Update) error {
-		rsMu.Lock()
-		_, err := rs.Process(ts, peer, upd)
-		rsMu.Unlock()
+		ix.rsMu.Lock()
+		_, err := ix.ex.RS.Process(ts, peer, upd)
+		ix.rsMu.Unlock()
 		if err != nil {
 			return err
 		}
-		lr.analyzer.ObserveUpdate(ts, peer, upd)
+		ix.analyzer.ObserveUpdate(ts, peer, upd)
 		return nil
 	}
 	// Ungraceful session loss flushes the peer's routes, exactly like a
 	// production route server would. The orderly Cease at shutdown does
 	// not take this path.
 	onPeerFlush := func(peer uint32) {
-		rsMu.Lock()
-		rs.PeerDown(peer)
-		rsMu.Unlock()
+		ix.rsMu.Lock()
+		ix.ex.RS.PeerDown(peer)
+		ix.rsMu.Unlock()
 	}
-	// Collected flow records (in export order) feed the archive and the
-	// analyzer.
 	flowSink := func(b *ipfix.RecordBatch) error {
-		if err := flowW.WriteBatch(b); err != nil {
+		if err := ix.ds.flows.WriteBatch(b); err != nil {
 			return err
 		}
-		lr.analyzer.ObserveFlowBatch(b)
+		ix.analyzer.ObserveFlowBatch(b)
 		if lr.det != nil {
 			lr.det.ObserveFlowBatch(b)
 		}
 		return nil
 	}
 
-	rcfg := live.RunnerConfig{Fault: lr.plan}
-	if lr.plan != nil {
+	rcfg := live.RunnerConfig{Fault: ix.plan}
+	if ix.plan != nil {
 		// Chaos tuning: reconnect fast enough that injected kills heal
 		// well inside the restart tolerance, with a hold time that
 		// injected stalls (≤2ms) can never expire.
@@ -290,120 +405,12 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 			ReconnectMax: 50 * time.Millisecond,
 		}
 	}
-	runner, err := live.NewRunner(ctx, rcfg, lr.lm, deliver, onPeerFlush, flowSink)
+	r, err := live.NewRunner(ctx, rcfg, ix.lm, deliver, onPeerFlush, flowSink)
 	if err != nil {
 		return nil, err
 	}
-	defer runner.Shutdown()
-
-	var flowCount int64
-	st, driveErr := scenario.Drive(w, func(fabricRNG *stats.RNG) (scenario.Executor, error) {
-		if rs, err = scenario.NewRouteServer(w); err != nil {
-			return nil, err
-		}
-		if lr.det != nil {
-			// The detector peers with the route server like any member:
-			// its announcements cross a real BGP session and are archived
-			// by the collector hook exactly like operator-originated RTBH.
-			if err := rs.AddPeer(routeserver.Peer{
-				ASN:    detect.PeerASN,
-				IP:     w.RSIP + 0xFFFD,
-				Policy: routeserver.DefaultPolicy(),
-			}); err != nil {
-				return nil, err
-			}
-		}
-		rs.SetCollector(func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-			rec := mrt.Record{
-				Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-				PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
-			}
-			// Write errors surface at Flush below, as in Simulate.
-			_ = mrtW.WriteRecord(&rec)
-		})
-		fb, err = fabric.New(rs, w.Cfg.SamplingRate, fabricRNG, func(b *ipfix.RecordBatch) error {
-			flowCount += int64(b.Len())
-			return runner.ExportFlowBatch(b)
-		})
-		if err != nil {
-			return nil, err
-		}
-		fb.ClockOffset = w.Cfg.ClockOffset
-		if lr.reg != nil {
-			rs.RegisterMetrics(lr.reg)
-			fb.RegisterMetrics(lr.reg)
-		}
-		runner.SetRouteServerASN(uint32(w.RSASN))
-		return liveExecutor{r: runner, fb: fb, det: lr.det}, nil
-	})
-	if driveErr != nil {
-		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
-			return nil, driveErr
-		}
-		lr.interrupted = true
-	}
-	if st == nil { // Drive returns no stats when build itself failed
-		st = &scenario.DriveStats{}
-	}
-
-	// Close the mitigation loop: a final detector tick at the end of the
-	// scenario clock dispatches any pending announcements and withdraws
-	// blackholes whose cooldown has expired, so the archive records the
-	// full announce/withdraw lifecycle. Skipped on interruption — the
-	// runner refuses new updates once its context is cancelled.
-	if lr.det != nil && !lr.interrupted {
-		ex := liveExecutor{r: runner, fb: fb, det: lr.det}
-		if err := ex.dispatchDetections(w.Cfg.End()); err != nil {
-			return nil, err
-		}
-		if err := runner.Barrier(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Drain what is in flight even on an interrupted run, so the archive
-	// and the analyzer agree on the delivered prefix.
-	if err := runner.Drain(); err != nil {
-		return nil, err
-	}
-	if err := runner.Reconcile(); err != nil {
-		return nil, err
-	}
-	if err := runner.Shutdown(); err != nil {
-		return nil, err
-	}
-
-	if err := mrtW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing MRT: %w", err)
-	}
-	if err := flowW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing IPFIX: %w", err)
-	}
-	if err := writeJSON(filepath.Join(lr.dir, FileMetadata), metaOf(w)); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(lr.dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(lr.dir, FilePDB), w.PDB.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(lr.dir, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
-		return nil, err
-	}
-
-	fst := fb.Stats()
-	return &SimulationSummary{
-		Events:         len(w.Events),
-		Hosts:          len(w.Hosts),
-		Members:        len(w.Members),
-		ControlMsgs:    rs.MessagesProcessed(),
-		Announcements:  st.Announcements,
-		Withdrawals:    st.Withdrawals,
-		FlowRecords:    flowCount,
-		PacketsIn:      fst.PacketsIn,
-		PacketsDropped: fst.PacketsDropped,
-	}, nil
+	r.SetRouteServerASN(uint32(lr.w.RSASN))
+	return r, nil
 }
 
 // liveExecutor dispatches the scenario driver's action stream onto the

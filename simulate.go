@@ -72,76 +72,142 @@ func Simulate(cfg Config, dir string) (*SimulationSummary, error) {
 // "fabric.*") on it. Snapshot after the call returns; the fabric's
 // ground-truth gauges match the returned summary exactly.
 func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*SimulationSummary, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
+	res, err := simulate(cfg, []string{dir}, reg)
+	if err != nil {
+		return nil, err
 	}
+	return simulationSummary(res), nil
+}
+
+// simulate plans the world described by cfg and runs it across one
+// exchange per directory, writing each exchange's standalone dataset
+// into its directory. When reg is non-nil, exchange 0's route server and
+// fabric register their metrics on it.
+func simulate(cfg Config, dirs []string, reg *MetricsRegistry) (*scenario.Result, error) {
 	w, err := scenario.Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	mrtFile, err := os.Create(filepath.Join(dir, FileUpdates))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	defer mrtFile.Close()
-	mrtW := mrt.NewWriter(mrtFile)
-
-	flowFile, err := os.Create(filepath.Join(dir, FileFlows))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	defer flowFile.Close()
-	flowW := ipfix.NewWriter(flowFile, 1)
-
-	res, err := scenario.Run(w, scenario.Sinks{
-		Control: func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-			rec := mrt.Record{
-				Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-				PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
+	dss := make([]*datasetWriter, len(dirs))
+	defer func() {
+		for _, ds := range dss {
+			if ds != nil {
+				ds.close()
 			}
-			// The run aborts on the first sink error via the flow sink;
-			// control write errors surface at Flush below.
-			_ = mrtW.WriteRecord(&rec)
-		},
-		Flow:    flowW.WriteBatch,
-		Metrics: reg,
-	})
+		}
+	}()
+	sinks := make([]scenario.Sinks, len(dirs))
+	for i, dir := range dirs {
+		if dss[i], err = createDataset(w, dir); err != nil {
+			return nil, err
+		}
+		// The run aborts on the first sink error via the flow sink;
+		// control write errors surface when the dataset is finished.
+		sinks[i] = scenario.Sinks{Control: dss[i].collect, Flow: dss[i].flows.WriteBatch}
+	}
+	sinks[0].Metrics = reg
+	res, err := scenario.Run(w, sinks...)
 	if err != nil {
 		return nil, err
 	}
-	if err := mrtW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing MRT: %w", err)
+	for _, ds := range dss {
+		if err := ds.finish(); err != nil {
+			return nil, err
+		}
 	}
-	if err := flowW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing IPFIX: %w", err)
-	}
+	return res, nil
+}
 
-	if err := writeJSON(filepath.Join(dir, FileMetadata), metaOf(w)); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(dir, FilePDB), w.PDB.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(dir, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
-		return nil, err
-	}
-
-	st := res.FabricStats
+// simulationSummary reports a single-exchange run.
+func simulationSummary(res *scenario.Result) *SimulationSummary {
+	w, x := res.World, res.IXPs[0]
 	return &SimulationSummary{
 		Events:         len(w.Events),
 		Hosts:          len(w.Hosts),
 		Members:        len(w.Members),
-		ControlMsgs:    res.ControlMsgs,
+		ControlMsgs:    x.ControlMsgs,
 		Announcements:  res.Announcements,
 		Withdrawals:    res.Withdrawals,
-		FlowRecords:    res.FlowRecords,
-		PacketsIn:      st.PacketsIn,
-		PacketsDropped: st.PacketsDropped,
+		FlowRecords:    x.FlowRecords,
+		PacketsIn:      x.FabricStats.PacketsIn,
+		PacketsDropped: x.FabricStats.PacketsDropped,
+	}
+}
+
+// datasetWriter writes one exchange's dataset directory: the MRT and
+// IPFIX archives while the run streams, then the side files.
+type datasetWriter struct {
+	w                 *scenario.World
+	dir               string
+	mrtFile, flowFile *os.File
+	updates           *mrt.Writer
+	flows             *ipfix.Writer
+}
+
+// createDataset creates dir if missing and opens its two archives.
+func createDataset(w *scenario.World, dir string) (*datasetWriter, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	mrtFile, err := os.Create(filepath.Join(dir, FileUpdates))
+	if err != nil {
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	flowFile, err := os.Create(filepath.Join(dir, FileFlows))
+	if err != nil {
+		mrtFile.Close()
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	return &datasetWriter{
+		w: w, dir: dir, mrtFile: mrtFile, flowFile: flowFile,
+		updates: mrt.NewWriter(mrtFile),
+		flows:   ipfix.NewWriter(flowFile, 1),
 	}, nil
+}
+
+// collect is the route server's collector hook: it archives each BGP
+// message as an MRT record. Write errors surface at finish.
+func (ds *datasetWriter) collect(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
+	rec := mrt.Record{
+		Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(ds.w.RSASN),
+		PeerIP: peerIP, LocalIP: ds.w.RSIP, Message: msg,
+	}
+	_ = ds.updates.WriteRecord(&rec)
+}
+
+// finish flushes and closes both archives and writes the four side
+// files.
+func (ds *datasetWriter) finish() error {
+	if err := ds.updates.Flush(); err != nil {
+		return fmt.Errorf("rtbh: flushing MRT in %s: %w", ds.dir, err)
+	}
+	if err := ds.flows.Flush(); err != nil {
+		return fmt.Errorf("rtbh: flushing IPFIX in %s: %w", ds.dir, err)
+	}
+	if err := ds.mrtFile.Close(); err != nil {
+		return fmt.Errorf("rtbh: %w", err)
+	}
+	if err := ds.flowFile.Close(); err != nil {
+		return fmt.Errorf("rtbh: %w", err)
+	}
+	w := ds.w
+	if err := writeJSON(filepath.Join(ds.dir, FileMetadata), metaOf(w)); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(ds.dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(ds.dir, FilePDB), w.PDB.WriteJSON); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(ds.dir, FileTruth), scenario.Truth(w).WriteJSON)
+}
+
+// close releases the archive files on every path; after finish it is a
+// harmless second close.
+func (ds *datasetWriter) close() {
+	ds.mrtFile.Close()
+	ds.flowFile.Close()
 }
 
 func metaOf(w *scenario.World) datasetMeta {
